@@ -183,9 +183,11 @@ fn pr2_evaluate(shape: &TreeShape, histogram: &Histogram) -> Vec<f64> {
 
 /// End-to-end trial through the PR-2-era path, reconstructed component by
 /// component: per-node-walk evaluation, an owned noisy vector perturbed one
-/// sample at a time, the untiled level sweeps allocating their buffers, the
-/// reference per-node `parent()` zeroing walk, then a separate rounding
-/// pass. This is the baseline the batched pipeline is measured against.
+/// sample at a time, level sweeps allocating their buffers
+/// ([`LevelTree::infer`]; the original sweeps were untiled, with identical
+/// bits), the reference per-node `parent()` zeroing walk, then a separate
+/// rounding pass. This is the baseline the batched pipeline is measured
+/// against.
 fn bench_pipeline_pr2_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("hier_pipeline_pr2_path");
     for &height in &[17usize, 21] {
@@ -202,7 +204,7 @@ fn bench_pipeline_pr2_path(c: &mut Criterion) {
                 for v in &mut noisy {
                     *v += noise.sample(&mut rng);
                 }
-                let inferred = tree.infer_untiled(&noisy);
+                let inferred = tree.infer(&noisy);
                 let mut values = enforce_nonnegativity(&shape, &inferred);
                 for v in &mut values {
                     *v = Rounding::NonNegativeInteger.apply(*v);
@@ -253,22 +255,16 @@ fn bench_pipeline_batched(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Laplace-draw phase in isolation, per noise backend: the ISSUE-4
-/// acceptance criterion is `fast_ln` ≥ 2× faster than `reference` at the
-/// pipeline's 2^21-draw scale (one draw per node of the 2^20-leaf tree),
-/// and the ISSUE-10 criterion is `fast_ln_wide` ≥ 1.5× faster again than
-/// `fast_ln` at the same scale.
+/// The Laplace-draw phase in isolation, per noise backend, at the
+/// pipeline's 2^21-draw scale (one draw per node of the 2^20-leaf tree)
+/// and around it.
 fn bench_laplace_fill(c: &mut Criterion) {
     let mut group = c.benchmark_group("laplace_fill");
     let noise = Laplace::centered(210.0).expect("positive scale");
     for &n in &[1usize << 17, (1 << 21) - 1, (1 << 27) - 1] {
         // −1 keeps the 2^21 and 2^27 cases honest about the scalar tail.
         let mut buf = vec![0.0f64; n];
-        for backend in [
-            NoiseBackend::Reference,
-            NoiseBackend::FastLn,
-            NoiseBackend::FastLnWide,
-        ] {
+        for backend in [NoiseBackend::Reference, NoiseBackend::FastLnWide] {
             let mut rng = rng_from_seed(31);
             group.throughput(Throughput::Elements(n as u64));
             group.bench_with_input(BenchmarkId::new(backend.name(), n + n % 2), &n, |b, _| {

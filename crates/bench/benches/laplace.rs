@@ -18,12 +18,12 @@ fn bench_laplace(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("laplace_65536_fast_ln", |b| {
+    group.bench_function("laplace_65536_fast_ln_wide", |b| {
         let d = Laplace::centered(10.0).expect("positive scale");
         let mut rng = rng_from_seed(1);
         let mut buf = vec![0.0f64; n];
         b.iter(|| {
-            d.fill_with(NoiseBackend::FastLn, &mut rng, black_box(&mut buf));
+            d.fill_with(NoiseBackend::FastLnWide, &mut rng, black_box(&mut buf));
         });
     });
 

@@ -4,15 +4,13 @@
 //! The acceptance shape: snapshot throughput (queries/s, reported via
 //! `Throughput::Elements`) must be flat in the range length — every answer
 //! is two prefix lookups — while the decomposition fold's cost tracks the
-//! tree height. The parallel group scales a large batch across cores
-//! (`HC_THREADS`-pinned in CI). Records land in `$BENCH_JSON` alongside the
-//! inference benches, so `bench_diff` gates serving throughput too.
+//! tree height. Records land in `$BENCH_JSON` alongside the inference
+//! benches, so `bench_diff` gates serving throughput too.
 //!
 //! The `*_scale` groups and `range_serving_sharded` extend the grid to 2^20
 //! and 2^26 leaves (synthetic values — the serving arithmetic is identical,
-//! only cache residency changes), where the headline comparison is the
-//! persistent `ShardPool` against the per-call scoped-thread split at the
-//! same thread count: the pool amortizes the spawn/join cycle away.
+//! only cache residency changes); `range_serving_sharded` scales large
+//! batches across the persistent `ShardPool` (`HC_THREADS`-pinned in CI).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hc_core::{
@@ -98,9 +96,7 @@ fn bench_snapshot(c: &mut Criterion) {
 }
 
 /// The decomposition fold (H̃-style serving): O(log n) per query, the
-/// comparison point that shows what the snapshot buys. The `len_blocked`
-/// rows are the opt-in lane-blocked fold over the same queries (bit-identical
-/// here — the serving tree is binary — so the delta is pure kernel cost).
+/// comparison point that shows what the snapshot buys.
 fn bench_subtree_fold(c: &mut Criterion) {
     let (shape, noisy, _) = served_release();
     let server = SubtreeServer::new(&shape);
@@ -115,48 +111,7 @@ fn bench_subtree_fold(c: &mut Criterion) {
                 black_box(out[0])
             });
         });
-        group.bench_with_input(
-            BenchmarkId::new("len_blocked", len),
-            &queries,
-            |b, queries| {
-                b.iter(|| {
-                    server.answer_blocked_into(
-                        &noisy,
-                        Rounding::None,
-                        black_box(queries),
-                        &mut out,
-                    );
-                    black_box(out[0])
-                });
-            },
-        );
     }
-    group.finish();
-}
-
-/// Snapshot serving scaled across cores for a large batch (the query-flood
-/// shape); bit-identical to serial, throughput is the point.
-fn bench_snapshot_parallel(c: &mut Criterion) {
-    let (shape, _, hbar) = served_release();
-    let snapshot = ConsistentSnapshot::from_tree_values(&shape, &hbar, DOMAIN);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let big_batch = 1usize << 14;
-    let queries = query_batch(1 << 10, big_batch);
-    let mut out = Vec::new();
-    let mut group = c.benchmark_group("range_serving_parallel");
-    group.throughput(Throughput::Elements(big_batch as u64));
-    group.bench_with_input(
-        BenchmarkId::new("queries", big_batch),
-        &queries,
-        |b, queries| {
-            b.iter(|| {
-                snapshot.answer_parallel(black_box(queries), &mut out, threads);
-                black_box(out[0])
-            });
-        },
-    );
     group.finish();
 }
 
@@ -221,58 +176,14 @@ fn bench_subtree_fold_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batch sizes for the threaded-serving comparison: 2^12 is
-/// dispatch-bound (the per-call spawn or hand-off cost is a visible
-/// fraction of the batch), 2^14 is bandwidth-bound (the prefix loads
-/// dominate and any dispatch scheme converges).
+/// Batch sizes for the sharded-serving grid: 2^12 is dispatch-bound (the
+/// hand-off cost is a visible fraction of the batch), 2^14 is
+/// bandwidth-bound (the prefix loads dominate).
 const THREADED_BATCHES: [usize; 2] = [1 << 12, 1 << 14];
 
-/// The per-call scoped-thread split at scale — the baseline the persistent
-/// pool is measured against. Every iteration pays the spawn/join cycle.
-fn bench_snapshot_parallel_scale(c: &mut Criterion) {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut group = c.benchmark_group("range_serving_parallel_scale");
-    for &lg in &[20usize, 26] {
-        let domain = 1usize << lg;
-        let snapshot = {
-            let leaves = synthetic_leaves(domain);
-            ConsistentSnapshot::from_leaves(&leaves, domain)
-        };
-        for &batch in &THREADED_BATCHES {
-            let queries = query_batch_over(domain, 1 << 10, batch);
-            let mut out = Vec::new();
-            // Floor 0: the spawn-per-call split is the measured subject,
-            // so the serial fallback must not absorb the smaller batch.
-            snapshot.answer_parallel_with_floor(&queries, &mut out, threads, 0);
-            group.throughput(Throughput::Elements(batch as u64));
-            group.bench_with_input(
-                BenchmarkId::new(format!("d{lg}/queries"), batch),
-                &queries,
-                |b, queries| {
-                    b.iter(|| {
-                        snapshot.answer_parallel_with_floor(
-                            black_box(queries),
-                            &mut out,
-                            threads,
-                            0,
-                        );
-                        black_box(out[0])
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-/// The persistent `ShardPool` over the same batches: no per-call spawn,
-/// per-worker snapshot clones, recycled hand-off buffers. Compare each
-/// `d*/queries` point against `range_serving_parallel_scale` — the
-/// difference is the spawn/join cycle the pool amortizes away, most
-/// visible on the dispatch-bound 2^12 batch; answers are bit-identical
-/// either way.
+/// The persistent `ShardPool` at scale: no per-call spawn, per-worker
+/// snapshot clones, recycled hand-off buffers; answers are bit-identical
+/// to serial.
 fn bench_snapshot_sharded(c: &mut Criterion) {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -324,16 +235,6 @@ fn bench_snapshot_rebuild_scale(c: &mut Criterion) {
                 });
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new(format!("d{lg}/leaves_blocked"), domain),
-            &leaves,
-            |b, leaves| {
-                b.iter(|| {
-                    snapshot.rebuild_from_leaves_blocked(black_box(leaves), domain);
-                    black_box(snapshot.total())
-                });
-            },
-        );
     }
     group.finish();
 }
@@ -351,18 +252,6 @@ fn bench_snapshot_rebuild(c: &mut Criterion) {
         |b, hbar| {
             b.iter(|| {
                 snapshot.rebuild_from_tree_values(&shape, black_box(hbar), DOMAIN);
-                black_box(snapshot.total())
-            });
-        },
-    );
-    // The opt-in blocked rebuild (Hillis–Steele in-block scan + carry):
-    // same leaf extraction, reassociated accumulation, own golden pins.
-    group.bench_with_input(
-        BenchmarkId::new("rebuild_blocked", shape.leaves()),
-        &hbar,
-        |b, hbar| {
-            b.iter(|| {
-                snapshot.rebuild_from_tree_values_blocked(&shape, black_box(hbar), DOMAIN);
                 black_box(snapshot.total())
             });
         },
@@ -396,11 +285,9 @@ criterion_group!(
     benches,
     bench_snapshot,
     bench_subtree_fold,
-    bench_snapshot_parallel,
     bench_snapshot_rebuild,
     bench_snapshot_scale,
     bench_subtree_fold_scale,
-    bench_snapshot_parallel_scale,
     bench_snapshot_sharded,
     bench_snapshot_rebuild_scale,
     bench_planner

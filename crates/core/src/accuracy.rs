@@ -27,11 +27,6 @@
 //! [`AccuracyTarget`] carries the request; `StrategyPlanner::plan` (and
 //! `plan_ranked`) in [`crate::snapshot`] turn it into ranked, runnable
 //! [`crate::snapshot::StrategyPlan`]s.
-//!
-//! The (ε, δ) stability-mechanism forms ([`stability_alpha_error`] /
-//! [`stability_epsilon`]) follow the PSI Library's accuracy arithmetic for
-//! sparse/unknown domains; they price the accountant's (ε, δ) entries, not a
-//! release pipeline this crate ships.
 
 use hc_data::{Interval, RangeWorkload};
 use hc_mech::TreeShape;
@@ -40,10 +35,9 @@ use hc_mech::TreeShape;
 /// every workload range answer must be within `max_error` of the truth.
 ///
 /// The workload declares which ranges matter (empty = per-bin accuracy, the
-/// PSI Library's default semantics); `delta` is only consulted by the
-/// stability-mechanism forms ([`Self::stability_epsilon`]) and the
-/// accountant's (ε, δ) entries — the Laplace strategies planned from this
-/// target are pure ε-DP.
+/// PSI Library's default semantics); `delta` only sizes the accountant's
+/// (ε, δ) allowance — the Laplace strategies planned from this target are
+/// pure ε-DP.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyTarget {
     alpha: f64,
@@ -88,8 +82,8 @@ impl AccuracyTarget {
         self
     }
 
-    /// Attaches a δ for the stability-mechanism forms (`0 ≤ δ < 1`; zero
-    /// keeps the target pure-ε).
+    /// Attaches a δ allowance for the accountant (`0 ≤ δ < 1`; zero keeps
+    /// the target pure-ε).
     pub fn with_delta(mut self, delta: f64) -> Self {
         assert!(
             (0.0..1.0).contains(&delta) && delta.is_finite(),
@@ -121,13 +115,6 @@ impl AccuracyTarget {
     #[inline]
     pub fn delta(&self) -> f64 {
         self.delta
-    }
-
-    /// The ε a *stability-mechanism* release (sparse/unknown domains, per
-    /// the PSI Library path) needs to meet this target's per-bin accuracy —
-    /// `None` when no δ was attached (the stability form needs δ > 0).
-    pub fn stability_epsilon(&self) -> Option<f64> {
-        (self.delta > 0.0).then(|| stability_epsilon(self.alpha, self.delta, self.max_error))
     }
 }
 
@@ -208,26 +195,6 @@ pub fn epsilon_for_hier_error(shape: &TreeShape, interval: Interval, max_error: 
 pub fn epsilon_for_thm4_hbar(shape: &TreeShape, max_error: f64) -> f64 {
     assert!(max_error > 0.0, "target error must be positive");
     shape.height() as f64 * (6.0 / max_error).sqrt()
-}
-
-/// The PSI Library's stability-mechanism accuracy at `(ε, δ)`: with
-/// probability `1 − α` a released bin is within `2 · ln(2/(α·δ)) / ε` of
-/// the truth (the δ-thresholding adds the `/δ` term to the pure-ε
-/// `2 · ln(1/α)/ε` form).
-pub fn stability_alpha_error(epsilon: f64, alpha: f64, delta: f64) -> f64 {
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    assert!(alpha > 0.0 && alpha < 1.0, "alpha must lie in (0, 1)");
-    assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0, 1)");
-    2.0 * (2.0 / (alpha * delta)).ln() / epsilon // hc-lint: allow(frozen-bits) — planning/accounting arithmetic; never enters a release
-}
-
-/// Inverts [`stability_alpha_error`]: the ε a stability-mechanism release
-/// needs for α-confidence error `max_error` at the given δ.
-pub fn stability_epsilon(alpha: f64, delta: f64, max_error: f64) -> f64 {
-    assert!(max_error > 0.0, "target error must be positive");
-    assert!(alpha > 0.0 && alpha < 1.0, "alpha must lie in (0, 1)");
-    assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0, 1)");
-    2.0 * (2.0 / (alpha * delta)).ln() / max_error // hc-lint: allow(frozen-bits) — planning/accounting arithmetic; never enters a release
 }
 
 /// Finds the smallest ε (to float resolution) with `error_at(ε) ≤ target`,
@@ -451,18 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn stability_forms_round_trip_and_exceed_pure_epsilon() {
-        let (alpha, delta) = (0.05, 1e-6);
-        let eps = stability_epsilon(alpha, delta, 40.0);
-        let err = stability_alpha_error(eps, alpha, delta);
-        assert!((err - 40.0).abs() < 1e-9 * 40.0);
-        // The δ-thresholding term makes the stability release strictly less
-        // accurate than a pure-ε Laplace bin at the same ε.
-        let pure = 2.0 * (1.0 / alpha).ln() / eps;
-        assert!(err > pure);
-    }
-
-    #[test]
     fn target_builder_validates_and_carries() {
         let w = vec![RangeWorkload::new(256, 4), RangeWorkload::new(256, 64)];
         let t = AccuracyTarget::new(0.05, 50.0)
@@ -472,9 +427,7 @@ mod tests {
         assert_eq!(t.max_error(), 50.0);
         assert_eq!(t.workload(), &w[..]);
         assert_eq!(t.delta(), 1e-7);
-        let se = t.stability_epsilon().unwrap();
-        assert!((stability_alpha_error(se, 0.05, 1e-7) - 50.0).abs() < 1e-9 * 50.0);
-        assert!(AccuracyTarget::new(0.5, 1.0).stability_epsilon().is_none());
+        assert_eq!(AccuracyTarget::new(0.5, 1.0).delta(), 0.0);
     }
 
     #[test]

@@ -693,24 +693,6 @@ impl LevelTree {
         }
     }
 
-    /// [`Self::infer`] through the plain untiled level sweeps — the memory
-    /// order the tiled path is tested against. Arithmetic per node is
-    /// identical, so the output matches [`Self::infer`] bit for bit; this
-    /// exists so the equivalence tests can pin exactly that.
-    pub fn infer_untiled(&self, noisy: &[f64]) -> Vec<f64> {
-        let n = self.shape.nodes();
-        assert_eq!(noisy.len(), n, "noisy vector must cover the tree");
-        let height = self.shape.height();
-        let first_leaf = self.shape.first_leaf();
-        let mut z = vec![0.0f64; n];
-        let mut out = vec![0.0f64; n];
-        z[first_leaf..].copy_from_slice(&noisy[first_leaf..]);
-        self.upward_levels(noisy, &mut z, 0..height - 1);
-        out[0] = z[0];
-        self.downward_levels(&z, &mut out, 0..height - 1);
-        out
-    }
-
     /// Bottom-up pass: fills the internal-node prefix of `z` (pre-sized to
     /// `nodes()`), slab-tiled. The leaf level of `z` is never written: the
     /// deepest kernels read their children straight from `noisy` (leaf `z`
@@ -1469,6 +1451,7 @@ mod tests {
 
     #[test]
     fn tiled_matches_untiled_bit_for_bit() {
+        // The oracle is the untiled per-node reference sweep.
         for (k, height, seed) in [
             (2usize, 1usize, 16u64),
             (2, 6, 17),
@@ -1476,14 +1459,14 @@ mod tests {
             (3, 10, 19),
             (4, 8, 20),
             (8193, 2, 24), // branching > TILE_LEAVES: slab must keep the leaf step
-            (1000, 3, 25), // wide levels push the cut to exactly height − 2
+            (100, 3, 25),  // wide levels push the cut to exactly height − 2
         ] {
             let shape = TreeShape::new(k, height);
             let noisy = random_noisy(&shape, seed);
             let tree = LevelTree::new(&shape);
             assert_eq!(
                 tree.infer(&noisy),
-                tree.infer_untiled(&noisy),
+                hierarchical_inference(&shape, &noisy),
                 "k={k} ℓ={height}"
             );
         }
@@ -1549,7 +1532,6 @@ mod tests {
             let tree = LevelTree::with_level_variances(&shape, &level_vars);
             assert_eq!(tree.infer(&noisy), reference, "k={k} ℓ={height}");
             assert_eq!(tree.infer_parallel(&noisy, 4), reference);
-            assert_eq!(tree.infer_untiled(&noisy), reference);
         }
     }
 
@@ -1747,7 +1729,7 @@ mod tests {
         let shape = TreeShape::for_domain(n, 2);
         let seeds = SeedStream::new(91);
         let trials = 11;
-        for backend in [NoiseBackend::Reference, NoiseBackend::FastLn] {
+        for backend in [NoiseBackend::Reference, NoiseBackend::FastLnWide] {
             let prepared = LaplaceMechanism::new(Epsilon::new(0.5).unwrap())
                 .with_backend(backend)
                 .prepare(HierarchicalQuery::binary(), n);

@@ -65,7 +65,7 @@ pub mod weighted;
 pub use accuracy::{
     alpha_half_width, det_cbrt, epsilon_for_alpha_width, epsilon_for_hier_error,
     epsilon_for_thm4_hbar, epsilon_for_unit_error, epsilon_for_unit_range_error, invert_monotone,
-    optimal_custom_split, stability_alpha_error, stability_epsilon, AccuracyTarget, Guarantee,
+    optimal_custom_split, AccuracyTarget, Guarantee,
 };
 pub use budgeted::{BudgetSplit, BudgetedHierarchical, BudgetedTreeRelease};
 pub use engine::{effective_threads, BatchInference, LevelTree};
@@ -75,7 +75,7 @@ pub use isotonic::{isotonic_regression, isotonic_regression_weighted, minmax_ref
 pub use shard::ShardPool;
 pub use snapshot::{
     union_bound_interval, ConsistentSnapshot, PlanInput, ReleaseStrategy, SizePrediction,
-    StrategyPlan, StrategyPlanner, SubtreeServer, PARALLEL_SERIAL_FLOOR, SHARD_SERIAL_FLOOR,
+    StrategyPlan, StrategyPlanner, SubtreeServer, SHARD_SERIAL_FLOOR,
 };
 pub use unattributed::{SortedRelease, UnattributedHistogram};
 pub use universal::{

@@ -3,10 +3,10 @@
 //! [`ConsistentSnapshot`], answering query batches without a per-call
 //! thread spawn.
 //!
-//! [`ConsistentSnapshot::answer_parallel`] splits each batch across a fresh
-//! `std::thread::scope` — correct, but the spawn/join cycle costs tens of
-//! microseconds per call, which dwarfs the batch itself at prefix-serving
-//! speeds (~1.4 ns/query L2-resident). [`ShardPool`] keeps the workers
+//! Splitting each batch across a fresh `std::thread::scope` would be
+//! correct, but the spawn/join cycle costs tens of microseconds per call,
+//! which dwarfs the batch itself at prefix-serving speeds (~1.4 ns/query
+//! L2-resident). [`ShardPool`] keeps the workers
 //! alive across calls: dispatching a batch is one mutex/condvar hand-off
 //! per worker (microseconds for the whole pool), and each worker answers
 //! from its own snapshot clone, so on multi-socket machines the per-shard
@@ -71,9 +71,8 @@ struct ShardState {
     stop: AtomicBool,
 }
 
-/// A persistent pool of snapshot-serving workers — the long-lived
-/// alternative to [`ConsistentSnapshot::answer_parallel`]'s per-call
-/// scoped-thread split.
+/// A persistent pool of snapshot-serving workers — the parallel path for
+/// large query batches, with no per-call thread spawn.
 ///
 /// ```
 /// use hc_core::{ConsistentSnapshot, ShardPool};

@@ -112,18 +112,10 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "answer_prefix_into",
             "answer",
             "answer_into",
-            "answer_parallel",
-            "answer_parallel_with_floor",
             "answer_recursive",
-            "answer_blocked",
-            "answer_blocked_into",
             "fold_two_fringe",
-            "fold_two_fringe_blocked",
-            "sum_run_blocked",
             "rebuild_from_leaves",
-            "rebuild_from_leaves_blocked",
             "rebuild_from_tree_values",
-            "rebuild_from_tree_values_blocked",
             "total",
             "for_each_node",
             "for_each_node_at_depth",
@@ -193,15 +185,12 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "fill_with",
             "add_noise",
             "add_noise_with",
-            "fast_ln_pass",
-            "fast_magnitude",
             "sample_from_bits",
             "fill_wide",
             "draw_strip",
             "transform_strip",
         ],
     ),
-    ("crates/noise/src/backend.rs", &["fast_ln"]),
     (
         "crates/serve/src/cell.rs",
         &[
@@ -261,7 +250,7 @@ pub const BACKEND_ENUM_PATH: &str = "crates/noise/src/backend.rs";
 pub const BACKEND_PIN_FILES: &[&str] = &["tests/golden_releases.rs", "tests/snapshot_serving.rs"];
 
 /// Converts a `CamelCase` variant name to the `snake_case` golden-pin
-/// prefix (`FastLn` → `fast_ln`).
+/// prefix (`FastLnWide` → `fast_ln_wide`).
 pub fn snake_case(variant: &str) -> String {
     let mut out = String::with_capacity(variant.len() + 4);
     for (i, c) in variant.chars().enumerate() {
@@ -301,7 +290,7 @@ mod tests {
     #[test]
     fn snake_case_matches_backend_names() {
         assert_eq!(snake_case("Reference"), "reference");
-        assert_eq!(snake_case("FastLn"), "fast_ln");
+        assert_eq!(snake_case("FastLnWide"), "fast_ln_wide");
         assert_eq!(snake_case("AVX512"), "a_v_x512");
     }
 

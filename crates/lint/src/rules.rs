@@ -524,14 +524,14 @@ mod tests {
 
     #[test]
     fn backend_pins_detects_missing_prefix() {
-        let enum_src = "pub enum NoiseBackend { Reference, FastLn }\n";
-        let good = "#[test]\nfn reference_golden() {}\n#[test]\nfn fast_ln_golden() {}\n";
+        let enum_src = "pub enum NoiseBackend { Reference, FastLnWide }\n";
+        let good = "#[test]\nfn reference_golden() {}\n#[test]\nfn fast_ln_wide_golden() {}\n";
         let bad = "#[test]\nfn reference_golden() {}\n";
         assert!(backend_pins_from_sources(enum_src, &[("good.rs", good)]).is_empty());
         let f = backend_pins_from_sources(enum_src, &[("bad.rs", bad)]);
         assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("FastLn"));
-        assert!(f[0].message.contains("fast_ln_"));
+        assert!(f[0].message.contains("FastLnWide"));
+        assert!(f[0].message.contains("fast_ln_wide_"));
     }
 
     #[test]

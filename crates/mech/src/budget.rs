@@ -157,7 +157,7 @@ pub struct LedgerEntry {
     /// The ε debited by this spend.
     pub epsilon: f64,
     /// The δ debited by this spend — `0.0` for pure ε-DP releases, positive
-    /// for (ε,δ) entries such as the stability mechanism's.
+    /// for (ε,δ) entries.
     pub delta: f64,
     /// The release epoch the spend funded (0 for out-of-band spends that
     /// are not tied to a snapshot epoch).
@@ -172,8 +172,7 @@ pub struct LedgerEntry {
 /// composition — the accountant tracks both sums against separate
 /// allowances. δ defaults to an allowance of 0, which makes every
 /// positive-δ spend fail: pure-ε accounts cannot silently weaken to
-/// approximate DP, a caller must opt in with [`Self::with_delta`] (the
-/// stability-mechanism path for sparse/unknown domains does).
+/// approximate DP, a caller must opt in with [`Self::with_delta`].
 #[derive(Debug, Clone)]
 pub struct PrivacyAccountant {
     total: f64,

@@ -49,25 +49,6 @@ pub fn laplace_half_width(noise_scale: f64, level: f64) -> f64 {
     d.quantile((1.0 + level) / 2.0)
 }
 
-/// The half-width of a `(1−α)`-confidence interval for an (ε,δ) stability
-/// release (the sparse/unknown-domain histogram path): `2·ln(2/(α·δ))/ε`.
-///
-/// This is the standard accuracy form for the stability mechanism — noise
-/// at scale `2/ε` plus a `2·ln(2/δ)/ε` threshold that can silently suppress
-/// a small count, folded into one conservative width. Pure-ε releases use
-/// [`laplace_half_width`] instead; this helper exists so accountant-driven
-/// callers holding a [`crate::LedgerEntry`] with `delta > 0` can still
-/// price their answers.
-pub fn stability_half_width(epsilon: f64, delta: f64, alpha: f64) -> f64 {
-    assert!(
-        epsilon > 0.0 && epsilon.is_finite(),
-        "epsilon must be positive"
-    );
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
-    assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-    2.0 * (2.0 / (alpha * delta)).ln() / epsilon // hc-lint: allow(frozen-bits) — accounting arithmetic; never enters a release
-}
-
 impl NoisyOutput {
     /// The exact confidence interval for the true answer at position `i`.
     pub fn confidence_interval(&self, i: usize, level: f64) -> ConfidenceInterval {

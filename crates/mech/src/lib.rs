@@ -31,7 +31,7 @@ mod sensitivity;
 pub mod sequences;
 
 pub use budget::{BudgetError, Epsilon, LedgerEntry, PrivacyAccountant, PrivacyBudget};
-pub use confidence::{laplace_half_width, stability_half_width, ConfidenceInterval};
+pub use confidence::{laplace_half_width, ConfidenceInterval};
 pub use laplace_mech::{LaplaceMechanism, NoisyOutput, PreparedMechanism};
 // The sampling-backend choice travels with the mechanism, so re-export it
 // here: code configuring a `LaplaceMechanism` should not need a direct

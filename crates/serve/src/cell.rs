@@ -128,14 +128,16 @@ impl SnapshotCell {
 /// construction (the service sizes it through `effective_threads`).
 ///
 /// Readers [`pin`](SnapshotShards::pin) a shard-local snapshot wait-free —
-/// a round-robin cursor picks the shard, then the pin is exactly a
+/// a round-robin cursor picks the shard, then the pin is a
 /// [`SnapshotCell::load`]. Writers [`broadcast`](SnapshotShards::broadcast)
 /// to every shard; shard 0 is published **last**, so once
 /// [`epoch`](SnapshotShards::epoch) (shard 0's epoch) reports the new
-/// value, every shard serves it. During a broadcast, two concurrent pins
-/// may land on different epochs — each is still a complete published
-/// snapshot (the per-cell torn-read guarantee is unchanged), and a batch
-/// answered from one pin stays single-epoch.
+/// value, every shard serves it. While a broadcast is half done, a shard
+/// can be one epoch ahead of shard 0; `pin` never serves such a shard's
+/// newer epoch before shard 0 has it, so successive pins by one reader
+/// never go backwards. Every pin is a complete published snapshot (the
+/// per-cell torn-read guarantee is unchanged), and a batch answered from
+/// one pin stays single-epoch.
 ///
 /// ```
 /// use hc_core::ConsistentSnapshot;
@@ -187,10 +189,22 @@ impl SnapshotShards {
     }
 
     /// Pins the served snapshot from the next shard in round-robin order.
-    /// Wait-free: cursor bump + [`SnapshotCell::load`].
+    /// Wait-free: cursor bump + [`SnapshotCell::load`] + one epoch load.
+    ///
+    /// A broadcast publishes shards 1.. before shard 0, so every shard's
+    /// epoch is at least shard 0's at all times. If the chosen shard is
+    /// *ahead* of shard 0 (a broadcast in flight), the pin serves shard 0
+    /// instead. A pin is thus never older than shard 0's epoch when the
+    /// call began and never newer than shard 0's latest publish, so one
+    /// reader's successive pins never decrease, whichever shards the
+    /// cursor hands it.
     pub fn pin(&self) -> PinnedSnapshot {
         let shard = self.cursor.fetch_add(1, Ordering::Relaxed) % self.cells.len();
-        self.cells[shard].load()
+        let pinned = self.cells[shard].load();
+        if pinned.epoch() > self.cells[0].epoch() {
+            return self.cells[0].load();
+        }
+        pinned
     }
 
     /// Pins the served snapshot from a specific shard (index taken modulo
@@ -300,6 +314,29 @@ mod tests {
             assert_eq!(pinned.epoch(), 1);
             assert_eq!(pinned.answer(whole), 20.0);
         }
+    }
+
+    #[test]
+    fn pins_never_go_backwards_during_a_half_done_broadcast() {
+        let shards = SnapshotShards::new(leaves(&[1.0, 1.0]), 3);
+        let mut last = 0usize;
+        let mut check = |shards: &SnapshotShards, want: usize| {
+            for _ in 0..2 * shards.shard_count() {
+                let epoch = shards.pin().epoch();
+                assert!(epoch >= last, "epoch went back from {last} to {epoch}");
+                assert_eq!(epoch, want);
+                last = epoch;
+            }
+        };
+        check(&shards, 0);
+        // A broadcast preempted before its last store: shards 1.. serve
+        // epoch 1 while shard 0 still serves epoch 0.
+        for cell in &shards.cells[1..] {
+            cell.publish(leaves(&[2.0, 2.0]));
+        }
+        check(&shards, 0);
+        shards.cells[0].publish(leaves(&[2.0, 2.0]));
+        check(&shards, 1);
     }
 
     #[test]

@@ -38,6 +38,12 @@ use hc_noise::{NoiseBackend, SeedStream};
 use crate::cell::{PinnedSnapshot, SnapshotShards};
 use crate::query::RangeQuery;
 
+/// The largest per-bin count ingest accepts: 2^53, the last integer up to
+/// which every integer converts to `f64` exactly. Past it neighbouring
+/// counts can map to values 2 apart, which would double the sensitivity a
+/// release's noise was calibrated for.
+const MAX_EXACT_COUNT: u64 = 1 << 53;
+
 /// Errors the service reports to clients. Variants carry plain fields (no
 /// boxed payloads, no formatting on construction) so the hot read path can
 /// return them without allocating.
@@ -68,6 +74,13 @@ pub enum ServeError {
         hi: usize,
         /// The tenant's domain size.
         domain_size: usize,
+    },
+    /// An ingest batch would push a bin's count past 2^53, the largest
+    /// count served exactly (or overflow `u64`); the whole batch was
+    /// refused.
+    CountOverflow {
+        /// The lowest bin whose combined count would exceed the limit.
+        bin: usize,
     },
     /// The privacy-budget ledger refused the spend.
     Budget(BudgetError),
@@ -101,6 +114,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::QueryOutOfRange { hi, domain_size } => {
                 write!(f, "query bound {hi} outside domain of size {domain_size}")
+            }
+            ServeError::CountOverflow { bin } => {
+                write!(f, "ingest would push bin {bin} past 2^53")
             }
             ServeError::Budget(e) => write!(f, "budget refused: {e}"),
             ServeError::ConflictingStrategy { name } => write!(
@@ -144,7 +160,6 @@ pub struct TenantConfig {
     refresh_every: u64,
     seed: u64,
     shards: usize,
-    blocked_rebuild: bool,
 }
 
 impl TenantConfig {
@@ -166,7 +181,6 @@ impl TenantConfig {
             refresh_every: 1000,
             seed: 0,
             shards: 4,
-            blocked_rebuild: false,
         }
     }
 
@@ -219,22 +233,6 @@ impl TenantConfig {
     /// draws from `SeedStream::new(seed).rng(i)`.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Opts the tenant's tree-backed releases (hierarchical and budgeted)
-    /// into the blocked prefix rebuild
-    /// ([`ConsistentSnapshot::rebuild_from_tree_values_blocked`]): the
-    /// publisher's prefix scan runs one serial add per 8-leaf block instead
-    /// of one per leaf.
-    ///
-    /// **This is an explicit bit opt-in.** The blocked scan reassociates
-    /// the leaf summation, so served answers differ in their low bits from
-    /// the default serial rebuild (the mode carries its own golden pins in
-    /// `tests/snapshot_serving.rs`). Flat releases already serve from fused
-    /// prefix arrays and are unaffected.
-    pub fn with_blocked_rebuild(mut self) -> Self {
-        self.blocked_rebuild = true;
         self
     }
 
@@ -451,7 +449,10 @@ impl HistogramService {
 
     /// Ingests `(bin, count)` deltas into the tenant's true histogram.
     ///
-    /// Validates every bin before applying any delta (all-or-nothing). If
+    /// Validates the whole batch before applying any delta (all-or-nothing):
+    /// every bin must lie in the domain, and every bin's count plus all of
+    /// the batch's deltas to it must stay within 2^53
+    /// ([`ServeError::CountOverflow`] otherwise). If
     /// the tenant's refresh cadence fires and budget remains, a release is
     /// published and its report returned; if the cadence fires but the
     /// ledger is exhausted, ingest still succeeds and returns `Ok(None)` —
@@ -467,6 +468,29 @@ impl HistogramService {
         let domain_size = tenant.config.domain_size;
         if let Some(&(bin, _)) = deltas.iter().find(|&&(bin, _)| bin >= domain_size) {
             return Err(ServeError::BinOutOfRange { bin, domain_size });
+        }
+        // No bin receives more than the batch total, so when every bin has
+        // that much headroom the batch is safe. Otherwise sum each bin's
+        // deltas exactly, grouping repeated bins by sorting a copy (sums
+        // saturate; anything saturated is over the limit).
+        let batch_total = deltas
+            .iter()
+            .fold(0u64, |acc, &(_, count)| acc.saturating_add(count));
+        let near_limit = |&(bin, _): &(usize, u64)| {
+            state.counts[bin].saturating_add(batch_total) > MAX_EXACT_COUNT
+        };
+        if deltas.iter().any(near_limit) {
+            let mut by_bin = deltas.to_vec();
+            by_bin.sort_unstable_by_key(|&(bin, _)| bin);
+            for run in by_bin.chunk_by(|a, b| a.0 == b.0) {
+                let bin = run[0].0;
+                let combined = run.iter().fold(state.counts[bin], |acc, &(_, count)| {
+                    acc.saturating_add(count)
+                });
+                if combined > MAX_EXACT_COUNT {
+                    return Err(ServeError::CountOverflow { bin });
+                }
+            }
         }
         for &(bin, count) in deltas {
             state.counts[bin] += count;
@@ -524,12 +548,8 @@ impl HistogramService {
                     inferred,
                 } = hier.as_mut();
                 engine.release_and_infer(prepared, &histogram, &mut rng, inferred);
-                let mut snapshot = Self::tree_snapshot(
-                    shape,
-                    inferred,
-                    domain_size,
-                    tenant.config.blocked_rebuild,
-                );
+                let mut snapshot =
+                    ConsistentSnapshot::from_tree_values(shape, inferred, domain_size);
                 snapshot.set_noise_scale(Some(prepared.noise_scale()));
                 snapshot
             }
@@ -540,11 +560,10 @@ impl HistogramService {
                 // Per-level scales differ under a geometric split, so no
                 // single Laplace scale is attached: confidence queries
                 // report `None` rather than a wrong union bound.
-                Self::tree_snapshot(
+                ConsistentSnapshot::from_tree_values(
                     release.shape(),
                     tree.node_values(),
                     domain_size,
-                    tenant.config.blocked_rebuild,
                 )
             }
         };
@@ -557,25 +576,6 @@ impl HistogramService {
             spent,
             remaining: state.budget.remaining(),
         })
-    }
-
-    /// Builds the published snapshot from a tree-node vector, routing to
-    /// the blocked prefix scan only for tenants that opted in via
-    /// [`TenantConfig::with_blocked_rebuild`]. The default path is the
-    /// frozen serial rebuild — bit-identical to every existing pin.
-    fn tree_snapshot(
-        shape: &TreeShape,
-        values: &[f64],
-        domain_size: usize,
-        blocked: bool,
-    ) -> ConsistentSnapshot {
-        if blocked {
-            let mut snapshot = ConsistentSnapshot::from_leaves(&[], 0);
-            snapshot.rebuild_from_tree_values_blocked(shape, values, domain_size);
-            snapshot
-        } else {
-            ConsistentSnapshot::from_tree_values(shape, values, domain_size)
-        }
     }
 
     /// Answers one range query from the tenant's current snapshot. Empty
@@ -815,31 +815,44 @@ mod tests {
     }
 
     #[test]
-    fn blocked_rebuild_opt_in_serves_within_tolerance_of_the_default() {
-        // Two tenants, identical strategy/seed/data — one on the default
-        // serial rebuild, one opted into the blocked scan. The blocked
-        // tenant's answers must agree to float tolerance (the reassociation
-        // only moves low bits); its bits are pinned separately in
-        // tests/snapshot_serving.rs.
+    fn oversized_ingest_is_refused_whole_and_the_tenant_stays_usable() {
         let mut service = HistogramService::new();
-        let serial = service.register(config("serial", 64)).unwrap();
-        let blocked = service
-            .register(config("blocked", 64).with_blocked_rebuild())
-            .unwrap();
-        let deltas: Vec<(usize, u64)> = (0..64).map(|i| (i, (i as u64 * 7) % 13)).collect();
-        for id in [serial, blocked] {
-            service.ingest(id, &deltas).unwrap();
-            service.publish(id).unwrap();
-        }
-        for (lo, hi) in [(0usize, 64usize), (3, 40), (17, 18), (0, 1)] {
-            let q = RangeQuery::new(lo, hi);
-            let a = service.answer(serial, q).unwrap();
-            let b = service.answer(blocked, q).unwrap();
-            assert!(
-                (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                "[{lo},{hi}) {a} vs {b}"
+        let id = service.register(config("t", 8)).unwrap();
+        service.ingest(id, &[(2, 5)]).unwrap();
+        let counts =
+            |service: &HistogramService| service.tenants[id.0].write.lock().unwrap().counts.clone();
+        let before = counts(&service);
+        // u64::MAX then +1: a plain add would wrap (release) or panic under
+        // the tenant lock (debug).
+        for (batch, bin) in [
+            (&[(5, u64::MAX)][..], 5),
+            (&[(4, 1), (5, u64::MAX), (5, 1)], 5),
+            // Each delta fits alone; together the repeated bin passes 2^53.
+            (&[(5, MAX_EXACT_COUNT), (0, 1), (5, 1)], 5),
+            // The bin's existing count (5) plus the delta passes 2^53.
+            (&[(2, MAX_EXACT_COUNT - 4)], 2),
+        ] {
+            assert_eq!(
+                service.ingest(id, batch),
+                Err(ServeError::CountOverflow { bin })
             );
+            assert_eq!(counts(&service), before, "batch {batch:?}");
         }
+        // Exactly 2^53 is still exact, so it is accepted.
+        service.ingest(id, &[(2, MAX_EXACT_COUNT - 5)]).unwrap();
+        assert_eq!(counts(&service)[2], MAX_EXACT_COUNT);
+        assert_eq!(
+            service.ingest(id, &[(2, 1)]),
+            Err(ServeError::CountOverflow { bin: 2 })
+        );
+        // The tenant lock is intact: budget, ingest and publish all work.
+        assert_eq!(service.remaining_budget(id).unwrap(), 1.0);
+        service.ingest(id, &[(7, 3)]).unwrap();
+        assert_eq!(service.publish(id).unwrap().epoch, 1);
+        assert!(service
+            .answer(id, RangeQuery::new(0, 8))
+            .unwrap()
+            .is_finite());
     }
 
     #[test]

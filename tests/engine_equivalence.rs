@@ -6,11 +6,11 @@
 //! The contracts pinned here:
 //!
 //! * engine ≡ `hierarchical_inference` within 1e-9 on every sampled shape
-//!   (the uniform path is in fact bit-identical, which is asserted too);
+//!   (the uniform path is in fact bit-identical, which is asserted too),
+//!   including fixed shapes large enough to tile into several slabs;
 //! * engine ≡ the dense OLS projection on small shapes (the "don't trust
 //!   either closed form" check);
 //! * a batch of N trials ≡ N single runs, bit for bit, under pinned seeds;
-//! * the slab-tiled sweeps ≡ the untiled level sweeps, bit for bit;
 //! * the work-stealing parallel passes ≡ the serial sweep, bit for bit;
 //! * the weighted (per-level GLS) tables ≡ the per-node weighted oracle;
 //! * the engine's level-sweep zeroing ≡ the `enforce_nonnegativity` walk
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn engine_matches_reference_on_random_shapes(
         k in 2usize..6,
-        height in 1usize..7,
+        height in 1usize..8,
         seed in any::<u64>(),
     ) {
         let shape = TreeShape::new(k, height);
@@ -142,18 +142,6 @@ proptest! {
     }
 
     #[test]
-    fn tiled_sweeps_match_untiled_bit_for_bit(
-        k in 2usize..5,
-        height in 1usize..8,
-        seed in any::<u64>(),
-    ) {
-        let shape = TreeShape::new(k, height);
-        let noisy = random_noisy(&shape, seed);
-        let tree = LevelTree::new(&shape);
-        prop_assert_eq!(tree.infer(&noisy), tree.infer_untiled(&noisy));
-    }
-
-    #[test]
     fn engine_zeroing_matches_reference_walk(
         k in 2usize..5,
         height in 1usize..8,
@@ -255,5 +243,23 @@ proptest! {
         let tree = LevelTree::new(&shape);
         let serial = tree.infer(&noisy);
         prop_assert_eq!(tree.infer_parallel(&noisy, threads), serial);
+    }
+}
+
+#[test]
+fn engine_matches_reference_on_multi_slab_trees() {
+    // The random shapes above top out at a few thousand leaves — a single
+    // slab. These cross the engine's 8192-leaf tile width, so the upward
+    // and downward passes really run slab by slab.
+    for (k, height, seed) in [(2usize, 15usize, 61u64), (3, 10, 62)] {
+        let shape = TreeShape::new(k, height);
+        assert!(shape.leaves() > 8192, "k={k} ℓ={height} must tile");
+        let noisy = random_noisy(&shape, seed);
+        let engine = LevelTree::new(&shape).infer(&noisy);
+        assert_eq!(
+            engine,
+            hierarchical_inference(&shape, &noisy),
+            "k={k} ℓ={height}"
+        );
     }
 }

@@ -13,9 +13,9 @@
 //!   `TreeShape::subtree_decomposition` and folding, bit for bit, for any
 //!   values and rounding policy (the materialized decomposition stays as
 //!   the oracle);
-//! * batched and parallel snapshot serving ≡ one-at-a-time answers;
+//! * batched and sharded-pool snapshot serving ≡ one-at-a-time answers;
 //! * fixed-seed golden pins for a served query batch **per noise backend**
-//!   (`reference_*` / `fast_ln_*`, the `hc_noise::backend` versioning
+//!   (`reference_*` / `fast_ln_wide_*`, the `hc_noise::backend` versioning
 //!   convention — CI runs each prefix as its own step).
 
 use hist_consistency::data::RangeWorkload;
@@ -128,12 +128,12 @@ proptest! {
         snapshot.answer_into(&queries, &mut batched);
         prop_assert_eq!(&batched, &singles);
         // The default floor would route this 97-query batch serially; a
-        // zero floor keeps the scoped-thread split itself under test.
+        // zero floor keeps the pool's worker hand-off itself under test.
         let mut parallel = Vec::new();
-        snapshot.answer_parallel(&queries, &mut parallel, threads);
+        ShardPool::new(&snapshot, threads).answer_into(&queries, &mut parallel);
         prop_assert_eq!(&parallel, &singles);
         let mut forced = Vec::new();
-        snapshot.answer_parallel_with_floor(&queries, &mut forced, threads, 0);
+        ShardPool::with_floor(&snapshot, threads, 0).answer_into(&queries, &mut forced);
         prop_assert_eq!(&forced, &singles);
     }
 
@@ -163,73 +163,6 @@ proptest! {
         pool.answer_into(&queries, &mut pooled);
         floored.answer_into(&queries, &mut serial);
         prop_assert_eq!(bits(&pooled), bits(&serial));
-    }
-
-    #[test]
-    fn lane_blocked_fold_is_bit_identical_to_serial_on_binary_trees(
-        height in 1usize..9,
-        seed in any::<u64>(),
-        rounded in any::<bool>(),
-    ) {
-        // k = 2: every contiguous sibling run the walk emits has at most
-        // one node, so the lane-blocked fold must degenerate to the serial
-        // fold exactly — the documented bit contract of `answer_blocked`.
-        let shape = TreeShape::new(2, height);
-        let values = random_values(shape.nodes(), seed);
-        let server = SubtreeServer::new(&shape);
-        let rounding = if rounded { Rounding::NonNegativeInteger } else { Rounding::None };
-        for q in random_queries(shape.leaves(), 48, seed ^ 0xB10C) {
-            prop_assert_eq!(
-                server.answer_blocked(&values, rounding, q).to_bits(),
-                server.answer(&values, rounding, q).to_bits(),
-                "height = {}, q = {}", height, q
-            );
-        }
-    }
-
-    #[test]
-    fn lane_blocked_fold_tracks_the_oracle_on_wide_trees(
-        k in 6usize..17,
-        seed in any::<u64>(),
-    ) {
-        // Wide branching exercises real lane blocks: the reassociated fold
-        // must agree with the recursive oracle to float tolerance on every
-        // query.
-        let height = 3usize;
-        let shape = TreeShape::new(k, height);
-        let values = random_values(shape.nodes(), seed);
-        let server = SubtreeServer::new(&shape);
-        for q in random_queries(shape.leaves(), 32, seed ^ 0x51DE) {
-            let oracle = server.answer_recursive(&values, Rounding::None, q);
-            let got = server.answer_blocked(&values, Rounding::None, q);
-            prop_assert!(
-                (got - oracle).abs() <= 1e-9 * oracle.abs().max(1.0),
-                "k = {}, q = {}: {} vs {}", k, q, got, oracle
-            );
-        }
-    }
-
-    #[test]
-    fn blocked_rebuild_tracks_the_serial_prefix_scan(
-        height in 1usize..9,
-        seed in any::<u64>(),
-    ) {
-        // The blocked scan reassociates — bits may move — but every served
-        // answer must agree with the serial rebuild to float tolerance.
-        let shape = TreeShape::new(2, height);
-        let values = random_values(shape.nodes(), seed);
-        let domain = shape.leaves();
-        let serial = ConsistentSnapshot::from_tree_values(&shape, &values, domain);
-        let mut blocked = ConsistentSnapshot::from_leaves(&[], 0);
-        blocked.rebuild_from_tree_values_blocked(&shape, &values, domain);
-        for q in random_queries(domain, 48, seed ^ 0x810C) {
-            let a = serial.answer(q);
-            let b = blocked.answer(q);
-            prop_assert!(
-                (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                "q = {}: {} vs {}", q, a, b
-            );
-        }
     }
 
     #[test]
@@ -295,7 +228,7 @@ fn degenerate_snapshot_inputs_are_well_defined() {
     assert!(out.is_empty(), "empty batch must clear the output buffer");
     for threads in [1usize, 2, 4, 8] {
         let mut out = vec![9.0];
-        snap.answer_parallel(&[], &mut out, threads);
+        ShardPool::with_floor(&snap, threads, 0).answer_into(&[], &mut out);
         assert!(out.is_empty(), "threads = {threads}");
     }
     // An empty *query batch* against a non-empty snapshot is equally inert.
@@ -307,7 +240,7 @@ fn degenerate_snapshot_inputs_are_well_defined() {
     assert!(out.is_empty());
     for threads in [1usize, 3, 16] {
         let mut out = vec![5.0; 7];
-        full.answer_parallel(&[], &mut out, threads);
+        ShardPool::with_floor(&full, threads, 0).answer_into(&[], &mut out);
         assert!(out.is_empty(), "threads = {threads}");
     }
     // Rebuild cycling through the empty domain leaves no stale prefix: a
@@ -430,31 +363,11 @@ fn reference_golden_served_batch_seed_7177() {
 }
 
 #[test]
-fn fast_ln_golden_served_batch_seed_7177() {
-    // FastLn's ln arithmetic differs from Reference in the last ulps: two
-    // served answers land one ulp away — the versioning story in action.
-    let (inferred, noisy_rounded) = served_batch(NoiseBackend::FastLn);
-    let expected_inferred = [
-        49.51060397133758,
-        67.13964409874214,
-        72.99662893615442,
-        33.54392938759957,
-        60.80116045557185,
-        34.09070380561678,
-        74.59911891468386,
-        60.80116045557185,
-    ];
-    let expected_noisy_rounded = [67.0, 56.0, 82.0, 9.0, 70.0, 53.0, 86.0, 70.0];
-    assert_eq!(inferred, expected_inferred);
-    assert_eq!(noisy_rounded, expected_noisy_rounded);
-}
-
-#[test]
 fn fast_ln_wide_golden_served_batch_seed_7177() {
     // The v3 wide-lane sampler's served batch: its uniform mapping folds
     // the 2⁻⁵² scale into the fused ln reduction, so this is a distinct
-    // frozen sequence (not a ulp-neighbour of Reference/FastLn). Frozen
-    // forever per the backend policy.
+    // frozen sequence (not a ulp-neighbour of Reference). Frozen forever
+    // per the backend policy.
     let (inferred, noisy_rounded) = served_batch(NoiseBackend::FastLnWide);
     let expected_inferred = [
         34.38234256782173,
@@ -469,64 +382,6 @@ fn fast_ln_wide_golden_served_batch_seed_7177() {
     let expected_noisy_rounded = [47.0, 100.0, 86.0, 48.0, 86.0, 64.0, 81.0, 86.0];
     assert_eq!(inferred, expected_inferred);
     assert_eq!(noisy_rounded, expected_noisy_rounded);
-}
-
-#[test]
-fn reference_golden_blocked_rebuild_served_batch_seed_7177() {
-    // The opt-in blocked prefix scan over the *same* reference release the
-    // `reference_golden_served_batch_seed_7177` pin serves: the
-    // reassociated scan moves low bits (compare the two pins' tails), and
-    // those bits are themselves frozen — the blocked mode is a versioned
-    // serving surface, not an accident.
-    let n = 32usize;
-    let counts: Vec<u64> = (0..n as u64).map(|i| (i * 11 + 3) % 13).collect();
-    let histogram = Histogram::from_counts(Domain::new("golden", n).unwrap(), counts);
-    let shape = TreeShape::for_domain(n, 2);
-    let release = HierarchicalUniversal::binary(Epsilon::new(0.5).unwrap())
-        .release(&histogram, &mut rng_from_seed(7177));
-    let mut engine = BatchInference::for_shape(&shape);
-    let hbar = engine.infer(release.noisy_values());
-    let mut blocked = ConsistentSnapshot::from_leaves(&[], 0);
-    blocked.rebuild_from_tree_values_blocked(&shape, &hbar, n);
-    let queries = RangeWorkload::new(n, 9).sample_many(&mut rng_from_seed(9331), 8);
-    let mut answers = Vec::new();
-    blocked.answer_into(&queries, &mut answers);
-    let expected = [
-        49.5106039713376,
-        67.13964409874215,
-        72.99662893615442,
-        33.54392938759957,
-        60.801160455571875,
-        34.090703805616755,
-        74.59911891468388,
-        60.801160455571875,
-    ];
-    assert_eq!(answers, expected);
-}
-
-#[test]
-fn golden_blocked_fold_wide_tree_seed_6007() {
-    // The lane-blocked subtree fold on a branching-8 tree — the shape class
-    // the blocked fold exists for — pinned at fixed seeds. On wide trees
-    // the per-run lane combine reassociates, so these bits are the blocked
-    // fold's own frozen sequence.
-    let shape = TreeShape::new(8, 3);
-    let values = random_values(shape.nodes(), 6007);
-    let server = SubtreeServer::new(&shape);
-    let queries = RangeWorkload::new(shape.leaves(), 37).sample_many(&mut rng_from_seed(6011), 8);
-    let mut folded = Vec::new();
-    server.answer_blocked_into(&values, Rounding::None, &queries, &mut folded);
-    let expected = [
-        143.0402203312359,
-        207.39149803023105,
-        274.5674192371539,
-        390.2506380436623,
-        390.2506380436623,
-        390.2506380436623,
-        190.11758564958265,
-        269.0458843017897,
-    ];
-    assert_eq!(folded, expected);
 }
 
 #[test]
