@@ -96,7 +96,10 @@ fn bench_snapshot(c: &mut Criterion) {
 }
 
 /// The decomposition fold (H̃-style serving): O(log n) per query, the
-/// comparison point that shows what the snapshot buys.
+/// comparison point that shows what the snapshot buys. The `k4`/`k3` rows
+/// serve 1024-long ranges from wider trees over the same 2^16 domain: k = 4
+/// takes the walk's shift divider like k = 2, k = 3 (padded to 3^11 leaves)
+/// its multiply-by-reciprocal divider.
 fn bench_subtree_fold(c: &mut Criterion) {
     let (shape, noisy, _) = served_release();
     let server = SubtreeServer::new(&shape);
@@ -111,6 +114,24 @@ fn bench_subtree_fold(c: &mut Criterion) {
                 black_box(out[0])
             });
         });
+    }
+    for k in [4usize, 3] {
+        let shape = TreeShape::for_domain(DOMAIN, k);
+        let values = synthetic_tree_values(shape.nodes());
+        let server = SubtreeServer::new(&shape);
+        let queries = query_batch(1 << 10, BATCH);
+        let mut out = Vec::new();
+        group.throughput(Throughput::Elements(BATCH as u64));
+        group.bench_with_input(
+            BenchmarkId::new(format!("k{k}/len"), 1 << 10),
+            &queries,
+            |b, queries| {
+                b.iter(|| {
+                    server.answer_into(&values, Rounding::None, black_box(queries), &mut out);
+                    black_box(out[0])
+                });
+            },
+        );
     }
     group.finish();
 }
@@ -148,9 +169,9 @@ fn bench_snapshot_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// The iterative two-fringe fold at scale: O(log n) per query over a
-/// DRAM-resident node vector (1 GB at 2^26 leaves) — the regime where the
-/// fold's pointer-free arithmetic spans matter most.
+/// The bottom-up decomposition fold at scale: O(log n) per query over a
+/// DRAM-resident node vector (1 GB at 2^26 leaves) — the regime where
+/// overlapping the node loads of several queries matters most.
 fn bench_subtree_fold_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("range_serving_subtree_scale");
     for &lg in &[20usize, 26] {

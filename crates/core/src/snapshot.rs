@@ -17,10 +17,10 @@
 //! * [`SubtreeServer`] — the `H̃`-style estimators (noisy trees, and the
 //!   Sec. 4.2 zeroed/rounded `H̄` whose consistency is deliberately broken at
 //!   zeroed boundaries) answer by summing the minimal subtree decomposition.
-//!   The server folds that decomposition *in place* — same node order, same
-//!   summation order, bit-identical to materializing
-//!   [`TreeShape::subtree_decomposition`] and summing — without the
-//!   per-query index vector (the decomposition stays as the test oracle).
+//!   One division-free bottom-up walk lists it as sibling runs on the stack
+//!   in [`TreeShape::subtree_decomposition`]'s order, so the fold is
+//!   bit-identical to materializing the decomposition and summing it, with
+//!   no per-query heap vector (the decomposition stays as the test oracle).
 //! * [`StrategyPlanner`] — Hay et al.'s own analysis (Sec. 5, Theorem 4)
 //!   says the right strategy depends on workload shape: flat beats
 //!   hierarchical for short ranges, and per-level budgets can shift the
@@ -28,6 +28,7 @@
 //!   prices each candidate release with [`crate::theory`]'s closed forms and
 //!   returns the predicted per-query error alongside the pick.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use hc_data::{Histogram, Interval, RangeWorkload};
@@ -399,24 +400,123 @@ pub fn union_bound_interval(scale: f64, m: usize, level: f64, center: f64) -> Co
 /// deliberately broken at zeroed boundaries, so leaf prefix sums would
 /// answer differently — the decomposition is the defined semantics).
 ///
-/// [`answer`](Self::answer) folds the node values of the minimal subtree
-/// decomposition in the exact order
-/// [`TreeShape::subtree_decomposition`] emits them (depth-first, left to
-/// right), starting from `0.0` — bit-identical to materializing the
-/// decomposition and summing, with no per-query index vector and no
-/// `leaf_span`/`depth` recomputation per node (per-level span widths come
-/// straight from the compiled level offsets).
+/// Every method runs on one bottom-up walk over level-local positions
+/// ([`Self::walk_runs`]): it lists the minimal subtree decomposition as
+/// runs of contiguous siblings, in exactly the depth-first, left-to-right
+/// order [`TreeShape::subtree_decomposition`] emits single nodes. The
+/// parent step is a shift or a multiply by a reciprocal precomputed per
+/// shape, never a hardware division.
 #[derive(Debug, Clone)]
 pub struct SubtreeServer {
     shape: TreeShape,
+    divider: Divider,
+}
+
+/// The walk's `p / k` as a shift (`k = 2^s`) or, for any other `k`, as
+/// `⌊p · c / 2^128⌋` with `c = ⌈2^128 / k⌉` split into 64-bit halves. The
+/// reciprocal is exact for every `p < 2^64`, so no shape needs a numerator
+/// bound: the rounding error `c·k − 2^128 < k` times `p` stays below
+/// `2^128` (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
+/// 2019, Theorem 1 with `F = 128`, `N = 64`).
+#[derive(Debug, Clone, Copy)]
+enum Divider {
+    Shift(u32),
+    Reciprocal { hi: u64, lo: u64 },
+}
+
+impl Divider {
+    fn new(k: usize) -> Self {
+        if k.is_power_of_two() {
+            Divider::Shift(k.trailing_zeros())
+        } else {
+            let c = u128::MAX / k as u128 + 1;
+            Divider::Reciprocal {
+                hi: (c >> 64) as u64,
+                lo: c as u64,
+            }
+        }
+    }
+
+    /// `⌊p / k⌋`. `hi ≤ 2^63` (as `k ≥ 3`), so `hi · p < 2^127` and the sum
+    /// below cannot overflow.
+    #[inline(always)]
+    fn quotient(self, p: usize) -> usize {
+        match self {
+            Divider::Shift(s) => p >> s,
+            Divider::Reciprocal { hi, lo } => {
+                let p = p as u128;
+                ((hi as u128 * p + ((lo as u128 * p) >> 64)) >> 64) as usize
+            }
+        }
+    }
+}
+
+/// Slots in a [`RunList`]: the walk climbs at most 63 levels (`TreeShape`
+/// caps heights at 64) and fills one left slot and one right slot per level.
+const RUN_SLOTS: usize = 128;
+
+/// Queries [`SubtreeServer::answer_into`] walks before folding them.
+const IN_FLIGHT: usize = 4;
+
+/// One query's decomposition as non-empty sibling runs `(start, end,
+/// depth)` of BFS indices. Left runs and the middle run fill `[0, left)`
+/// upwards, right runs fill `[right, RUN_SLOTS)` downwards, so reading both
+/// in index order is depth-first, left-to-right order. The list lives on the
+/// stack; [`SubtreeServer::answer_into`] zeroes its lists once per batch.
+struct RunList {
+    runs: [(usize, usize, usize); RUN_SLOTS],
+    left: usize,
+    right: usize,
+}
+
+impl RunList {
+    fn new() -> Self {
+        Self {
+            runs: [(0, 0, 0); RUN_SLOTS],
+            left: 0,
+            right: RUN_SLOTS,
+        }
+    }
+
+    /// Writes a run into `slot`; the caller advances past it only if the
+    /// run is non-empty, so empty runs cost no branch.
+    #[inline(always)]
+    fn put(&mut self, slot: usize, nodes: Range<usize>, depth: usize) -> bool {
+        self.runs[slot] = (nodes.start, nodes.end, depth);
+        !nodes.is_empty()
+    }
+
+    /// Folds `rounding.apply(values[v])` over the listed nodes in order,
+    /// from `-0.0`.
+    #[inline]
+    fn fold(&self, values: &[f64], rounding: Rounding) -> f64 {
+        let mut acc = -0.0f64;
+        self.for_each(|nodes, _| {
+            for &node in &values[nodes] {
+                acc += rounding.apply(node);
+            }
+        });
+        acc
+    }
+
+    /// Visits the runs in decomposition order.
+    #[inline(always)]
+    fn for_each(&self, mut visit: impl FnMut(Range<usize>, usize)) {
+        let (listed, right) = (&self.runs[..self.left], &self.runs[self.right..]);
+        for &(start, end, depth) in listed.iter().chain(right) {
+            visit(start..end, depth);
+        }
+    }
 }
 
 impl SubtreeServer {
-    /// Compiles a server for one tree geometry (`TreeShape` is heap-free, so
-    /// this allocates nothing).
+    /// Compiles a server for one tree geometry. Heap-free (`TreeShape` is an
+    /// inline table and the divider two words), so the per-query
+    /// `range_query` conveniences can build one per call.
     pub fn new(shape: &TreeShape) -> Self {
         Self {
             shape: shape.clone(),
+            divider: Divider::new(shape.branching()),
         }
     }
 
@@ -427,8 +527,7 @@ impl SubtreeServer {
     }
 
     /// Visits the nodes of the minimal subtree decomposition of `target` in
-    /// emission order — the iteration core shared by every fold below and by
-    /// the planner's decomposition pricing.
+    /// [`TreeShape::subtree_decomposition`]'s order.
     pub fn for_each_node(&self, target: Interval, mut visit: impl FnMut(usize)) {
         self.for_each_node_at_depth(target, |v, _| visit(v));
     }
@@ -436,189 +535,76 @@ impl SubtreeServer {
     /// [`Self::for_each_node`] with the node's depth alongside — what the
     /// planner's per-level pricing consumes.
     pub fn for_each_node_at_depth(&self, target: Interval, mut visit: impl FnMut(usize, usize)) {
+        self.runs(target)
+            .for_each(|nodes, depth| nodes.for_each(|v| visit(v, depth)));
+    }
+
+    /// [`Self::walk_runs`] into a fresh list, for one-off queries.
+    fn runs(&self, target: Interval) -> RunList {
+        let mut runs = RunList::new();
+        self.walk_runs(target, &mut runs);
+        runs
+    }
+
+    /// The one decomposition walk: fills `runs` with the minimal subtree
+    /// decomposition of `target` as runs of contiguous siblings.
+    ///
+    /// It climbs from the leaf level holding the half-open level-local span
+    /// `[a, e)` still to be covered. The parents fully inside it are
+    /// `[⌈a/k⌉, ⌊e/k⌋)`; the positions `[a, ⌈a/k⌉·k)` left of their
+    /// children and `[⌊e/k⌋·k, e)` right of them are this level's runs, and
+    /// the walk moves up to the parents. When no parent is fully inside,
+    /// `[a, e)` is the final middle run. Left runs are listed as the walk
+    /// climbs and right runs in reverse, which is exactly the recursive
+    /// depth-first order — so `-0.0`-seeded float
+    /// folds over the runs are bit-identical to folding the materialized
+    /// decomposition. Both edge runs are written every level and kept only
+    /// when non-empty, so an empty run costs no branch.
+    #[inline(always)]
+    fn walk_runs(&self, target: Interval, runs: &mut RunList) {
         assert!(
             target.hi() < self.shape.leaves(),
             "target {target} outside leaf range"
         );
-        let leaves = self.shape.leaves();
-        self.walk(0, 0, 0, leaves, target, &mut visit);
-    }
-
-    /// Depth-first descent mirroring `TreeShape::decompose_into`: emit a
-    /// node whose span the target covers, otherwise recurse into the
-    /// children that intersect it (left to right). `span_lo`/`span_len`
-    /// track the node's leaf span arithmetically, so no per-node
-    /// `leaf_span`/`depth` calls are needed.
-    fn walk(
-        &self,
-        v: usize,
-        depth: usize,
-        span_lo: usize,
-        span_len: usize,
-        target: Interval,
-        visit: &mut impl FnMut(usize, usize),
-    ) {
-        let span_hi = span_lo + span_len - 1;
-        if target.lo() <= span_lo && span_hi <= target.hi() {
-            visit(v, depth);
-            return;
-        }
         let k = self.shape.branching();
-        let child_len = span_len / k;
-        let first_child = k * v + 1;
-        for i in 0..k {
-            let c_lo = span_lo + i * child_len;
-            let c_hi = c_lo + child_len - 1;
-            if c_lo <= target.hi() && target.lo() <= c_hi {
-                self.walk(first_child + i, depth + 1, c_lo, child_len, target, visit);
+        let offsets = self.shape.level_offsets();
+        let (mut a, mut e) = (target.lo(), target.hi() + 1);
+        let mut depth = self.shape.height() - 1;
+        let (mut left, mut right) = (0, RUN_SLOTS);
+        loop {
+            // ⌈a/k⌉ without the `a + k - 1` that could overflow usize.
+            let up_a = if a == 0 {
+                0
+            } else {
+                self.divider.quotient(a - 1) + 1
+            };
+            let up_e = self.divider.quotient(e);
+            if up_a >= up_e {
+                break;
             }
+            let base = offsets[depth];
+            left += usize::from(runs.put(left, base + a..base + up_a * k, depth));
+            right -= usize::from(runs.put(right - 1, base + up_e * k..base + e, depth));
+            (a, e, depth) = (up_a, up_e, depth - 1);
         }
+        let base = offsets[depth];
+        runs.put(left, base + a..base + e, depth);
+        runs.left = left + 1;
+        runs.right = right;
     }
 
     /// Folds `rounding.apply(values[v])` over the decomposition of `target`
     /// — `TreeRelease::range_query_subtree`'s summation, in place.
     ///
     /// The fold starts from `-0.0`, exactly like `Iterator::sum::<f64>()`
-    /// (the historical query paths' accumulator), so the answer is
+    /// (the historical query paths' accumulator), and adds the nodes in
+    /// [`TreeShape::subtree_decomposition`]'s order, so the answer is
     /// bit-identical to materializing the decomposition and `.sum()`ing it
-    /// even in the all-negative-zero corner.
-    ///
-    /// Implementation: the iterative two-fringe walk
-    /// ([`Self::fold_two_fringe`]) — no recursion, no closure dispatch per
-    /// node. [`Self::answer_recursive`] keeps the recursive fold as the
-    /// bitwise oracle; `tests/snapshot_serving.rs` pins the two equal to the
-    /// bit across shapes, values, and rounding policies.
+    /// even in the all-negative-zero corner. `tests/snapshot_serving.rs`
+    /// pins the two equal across shapes, values and rounding policies.
     pub fn answer(&self, values: &[f64], rounding: Rounding, target: Interval) -> f64 {
-        assert_eq!(
-            values.len(),
-            self.shape.nodes(),
-            "value vector must cover the tree"
-        );
-        self.fold_two_fringe(values, rounding, target)
-    }
-
-    /// The recursive decomposition fold — the bitwise oracle
-    /// [`Self::answer`]'s iterative walk is pinned against. Same visit
-    /// order, same `-0.0` seed, same per-node arithmetic, one closure call
-    /// per node.
-    pub fn answer_recursive(&self, values: &[f64], rounding: Rounding, target: Interval) -> f64 {
-        assert_eq!(
-            values.len(),
-            self.shape.nodes(),
-            "value vector must cover the tree"
-        );
-        let mut acc = -0.0f64;
-        self.for_each_node(target, |v| acc += rounding.apply(values[v]));
-        acc
-    }
-
-    /// The iterative decomposition fold: descend to the *split node* (the
-    /// deepest node whose span still contains the whole target), then walk
-    /// the left fringe down to `target.lo()` stacking covered-sibling runs
-    /// (emitted deepest-first on unwind, matching the recursion's postorder
-    /// on that flank), emit the split node's fully-covered middle children,
-    /// and walk the right fringe down to `target.hi()` emitting covered
-    /// left-siblings on the way (the recursion's preorder on that flank).
-    ///
-    /// The emission sequence is exactly the recursive depth-first
-    /// left-to-right order of [`Self::for_each_node`], so the `-0.0`-seeded
-    /// float fold is bit-identical to [`Self::answer_recursive`] — while
-    /// spans stay in three integers per fringe and the only state is a
-    /// fixed-size run stack (`TreeShape` caps heights at 64, so it lives on
-    /// the stack and the fold allocates nothing).
-    fn fold_two_fringe(&self, values: &[f64], rounding: Rounding, target: Interval) -> f64 {
-        assert!(
-            target.hi() < self.shape.leaves(),
-            "target {target} outside leaf range"
-        );
-        let k = self.shape.branching();
-        let mut acc = -0.0f64;
-
-        // Phase 1: descend while one child holds the whole target. The
-        // descent invariant is `target ⊆ [span_lo, span_lo + span_len)`, so
-        // "covered" can only mean "equal" and the check needs no `max`/`min`.
-        let mut v = 0usize;
-        let mut span_lo = 0usize;
-        let mut span_len = self.shape.leaves();
-        let (first_child, child_len, ci_lo, ci_hi) = loop {
-            if target.lo() <= span_lo && span_lo + span_len - 1 <= target.hi() {
-                acc += rounding.apply(values[v]);
-                return acc;
-            }
-            let child_len = span_len / k;
-            let first_child = k * v + 1;
-            let ci_lo = (target.lo() - span_lo) / child_len;
-            let ci_hi = (target.hi() - span_lo) / child_len;
-            if ci_lo != ci_hi {
-                break (first_child, child_len, ci_lo, ci_hi);
-            }
-            v = first_child + ci_lo;
-            span_lo += ci_lo * child_len;
-            span_len = child_len;
-        };
-
-        // Phase 2: left fringe into child `ci_lo`. Invariant: `target.lo()`
-        // lies inside the node's span and the target covers through its
-        // right edge — so every sibling right of the descent child is fully
-        // covered. The recursion emits those runs *after* the deeper nodes
-        // (postorder on this flank); stack them and unwind deepest-first.
-        let mut pending = [(0usize, 0usize); 64];
-        let mut stacked = 0usize;
-        let mut lv = first_child + ci_lo;
-        let mut l_lo = span_lo + ci_lo * child_len;
-        let mut l_len = child_len;
-        loop {
-            if target.lo() <= l_lo {
-                acc += rounding.apply(values[lv]);
-                break;
-            }
-            let clen = l_len / k;
-            let fc = k * lv + 1;
-            let ci = (target.lo() - l_lo) / clen;
-            if ci + 1 < k {
-                pending[stacked] = (fc + ci + 1, k - 1 - ci);
-                stacked += 1;
-            }
-            lv = fc + ci;
-            l_lo += ci * clen;
-            l_len = clen;
-        }
-        while stacked > 0 {
-            stacked -= 1;
-            let (start, count) = pending[stacked];
-            for &node in &values[start..start + count] {
-                acc += rounding.apply(node);
-            }
-        }
-
-        // Phase 3: the split node's fully-covered middle children.
-        for &node in &values[first_child + ci_lo + 1..first_child + ci_hi] {
-            acc += rounding.apply(node);
-        }
-
-        // Phase 4: right fringe into child `ci_hi`. Invariant: `target.hi()`
-        // lies inside the node's span and the target covers from its left
-        // edge — siblings left of the descent child are fully covered, and
-        // the recursion emits them *before* descending (preorder).
-        let mut rv = first_child + ci_hi;
-        let mut r_lo = span_lo + ci_hi * child_len;
-        let mut r_len = child_len;
-        loop {
-            if target.hi() >= r_lo + r_len - 1 {
-                acc += rounding.apply(values[rv]);
-                break;
-            }
-            let clen = r_len / k;
-            let fc = k * rv + 1;
-            let ci = (target.hi() - r_lo) / clen;
-            for &node in &values[fc..fc + ci] {
-                acc += rounding.apply(node);
-            }
-            rv = fc + ci;
-            r_lo += ci * clen;
-            r_len = clen;
-        }
-        acc
+        self.check_values(values);
+        self.runs(target).fold(values, rounding)
     }
 
     /// Batched [`Self::answer`] into a caller-owned buffer (resized to the
@@ -630,24 +616,35 @@ impl SubtreeServer {
         queries: &[Interval],
         out: &mut Vec<f64>,
     ) {
+        self.check_values(values);
         out.resize(queries.len(), 0.0);
-        for (slot, &q) in out.iter_mut().zip(queries) {
-            *slot = self.answer(values, rounding, q);
+        // Several queries in flight: every walk of a chunk runs before its
+        // folds, so the folds' node loads overlap in the memory system.
+        let mut lists: [RunList; IN_FLIGHT] = std::array::from_fn(|_| RunList::new());
+        for (chunk, slots) in queries.chunks(IN_FLIGHT).zip(out.chunks_mut(IN_FLIGHT)) {
+            for (list, &q) in lists.iter_mut().zip(chunk) {
+                self.walk_runs(q, list);
+            }
+            for (list, slot) in lists.iter().zip(slots) {
+                *slot = list.fold(values, rounding);
+            }
         }
+    }
+
+    fn check_values(&self, values: &[f64]) {
+        assert_eq!(
+            values.len(),
+            self.shape.nodes(),
+            "value vector must cover the tree"
+        );
     }
 
     /// Number of decomposition nodes for `target` — the `H̃` variance
     /// multiplier of [`theory::error_hier_range`].
     pub fn decomposition_len(&self, target: Interval) -> usize {
-        let mut count = 0usize;
-        self.for_each_node(target, |_| count += 1);
+        let mut count = 0;
+        self.runs(target).for_each(|nodes, _| count += nodes.len());
         count
-    }
-
-    /// Adds one count per decomposition node into `per_depth[depth(v)]` —
-    /// the per-level profile the planner prices budgeted releases with.
-    fn count_per_depth(&self, target: Interval, per_depth: &mut [usize]) {
-        self.for_each_node_at_depth(target, |_, depth| per_depth[depth] += 1);
     }
 }
 
@@ -1323,7 +1320,7 @@ fn position_profiles(
     for w in workload {
         for_each_position(w.positions(), |lo| {
             scratch.iter_mut().for_each(|c| *c = 0);
-            server.count_per_depth(w.interval_at(lo), &mut scratch);
+            server.for_each_node_at_depth(w.interval_at(lo), |_, d| scratch[d] += 1);
             let m: usize = scratch.iter().sum();
             rows.extend_from_slice(&scratch);
             row_logs.push((m as f64 / alpha).ln()); // hc-lint: allow(frozen-bits) — planner bound arithmetic; never enters a release
@@ -1342,7 +1339,7 @@ fn average_profile(
 ) -> usize {
     let mut sampled = 0usize;
     for_each_position(workload.positions(), |lo| {
-        server.count_per_depth(workload.interval_at(lo), per_depth);
+        server.for_each_node_at_depth(workload.interval_at(lo), |_, d| per_depth[d] += 1);
         sampled += 1;
     });
     sampled

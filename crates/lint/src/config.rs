@@ -108,20 +108,22 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
     (
         "crates/core/src/snapshot.rs",
         &[
-            // O(1) prefix serving and the SubtreeServer decomposition folds.
+            // O(1) prefix serving and the SubtreeServer decomposition walk
+            // with its folds.
             "answer_prefix_into",
             "answer",
             "answer_into",
-            "answer_recursive",
-            "fold_two_fringe",
             "rebuild_from_leaves",
             "rebuild_from_tree_values",
             "total",
+            "quotient",
+            "put",
+            "runs",
+            "walk_runs",
+            "fold",
             "for_each_node",
             "for_each_node_at_depth",
-            "walk",
             "decomposition_len",
-            "count_per_depth",
         ],
     ),
     (

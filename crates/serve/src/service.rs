@@ -99,6 +99,15 @@ pub enum ServeError {
         /// The tenant's domain size.
         tenant_domain: usize,
     },
+    /// A release produced a NaN or infinite served count and was not
+    /// published; readers keep the previous epoch. Its ε stays debited and
+    /// its release index stays used, so a later release draws fresh noise
+    /// instead of replaying this draw. Its ledger entry therefore funds no
+    /// epoch, and later epochs trail their release index.
+    NonFiniteRelease {
+        /// The refused release's index in the tenant's noise stream.
+        release_index: u64,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -129,6 +138,10 @@ impl fmt::Display for ServeError {
             } => write!(
                 f,
                 "accuracy workload declared over domain {workload_domain}, tenant serves {tenant_domain}"
+            ),
+            ServeError::NonFiniteRelease { release_index } => write!(
+                f,
+                "release {release_index} produced a non-finite count and was not published"
             ),
         }
     }
@@ -310,6 +323,19 @@ pub struct PublishReport {
     pub remaining: f64,
 }
 
+/// Refuses a snapshot that would serve a NaN or infinite count. One O(1)
+/// check covers every range: the prefix is a running sum, and NaN and ±inf
+/// (a non-finite leaf, or partial sums overflowing `f64`) propagate to every
+/// later entry, so the served total is finite iff every served prefix entry
+/// is.
+fn check_finite(snapshot: &ConsistentSnapshot, release_index: u64) -> Result<(), ServeError> {
+    if snapshot.total().is_finite() {
+        Ok(())
+    } else {
+        Err(ServeError::NonFiniteRelease { release_index })
+    }
+}
+
 /// A long-lived, multi-tenant histogram service.
 ///
 /// Registration and ingest go through `&self` with interior locking per
@@ -457,7 +483,10 @@ impl HistogramService {
     /// published and its report returned; if the cadence fires but the
     /// ledger is exhausted, ingest still succeeds and returns `Ok(None)` —
     /// the service keeps serving the last published snapshot rather than
-    /// over-spending.
+    /// over-spending. The same holds when the cadence's release is refused
+    /// as [`ServeError::NonFiniteRelease`]: the deltas have landed, so
+    /// ingest must not report failure; the deltas stay pending for the next
+    /// release.
     pub fn ingest(
         &self,
         id: TenantId,
@@ -500,7 +529,10 @@ impl HistogramService {
         if cadence > 0 && state.pending_deltas >= cadence {
             match Self::release_locked(tenant, &mut state) {
                 Ok(report) => return Ok(Some(report)),
-                Err(ServeError::Budget(BudgetError::Exhausted { .. })) => return Ok(None),
+                Err(
+                    ServeError::Budget(BudgetError::Exhausted { .. })
+                    | ServeError::NonFiniteRelease { .. },
+                ) => return Ok(None),
                 Err(e) => return Err(e),
             }
         }
@@ -509,7 +541,9 @@ impl HistogramService {
 
     /// Releases and publishes now, regardless of cadence. Spends
     /// `epsilon_per_release` from the ledger; fails with
-    /// [`ServeError::Budget`] when exhausted.
+    /// [`ServeError::Budget`] when exhausted, and with
+    /// [`ServeError::NonFiniteRelease`] (ε spent, nothing published) when
+    /// the release holds a NaN or infinite count.
     pub fn publish(&self, id: TenantId) -> Result<PublishReport, ServeError> {
         let tenant = self.tenant(id)?;
         let mut state = tenant.write.lock().expect("tenant lock never poisoned");
@@ -517,7 +551,8 @@ impl HistogramService {
     }
 
     /// One release under the tenant's write lock: debit the ledger, derive
-    /// the release RNG, run the strategy pipeline, publish the snapshot.
+    /// the release RNG, run the strategy pipeline, check the snapshot is
+    /// finite, publish it.
     fn release_locked(
         tenant: &Tenant,
         state: &mut WriteState,
@@ -525,7 +560,8 @@ impl HistogramService {
         let release_index = state.releases;
         let epsilon = Epsilon::new(tenant.config.epsilon_per_release)?;
         // Epoch 0 is the data-free zeros snapshot, so release i funds
-        // epoch i + 1.
+        // epoch i + 1 — unless an earlier release was refused as
+        // non-finite, which funded no epoch.
         let spent = state
             .budget
             .spend_at(
@@ -567,7 +603,10 @@ impl HistogramService {
                 )
             }
         };
+        // The ε is spent and the index used whether or not the release is
+        // published, so a retry never redraws this noise.
         state.releases += 1;
+        check_finite(&snapshot, release_index)?;
         state.pending_deltas = 0;
         let epoch = tenant.shards.broadcast(snapshot);
         Ok(PublishReport {
@@ -965,6 +1004,70 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn publish_guard_refuses_nan_infinite_and_overflowing_snapshots() {
+        let refused = Err(ServeError::NonFiniteRelease { release_index: 4 });
+        let finite = ConsistentSnapshot::from_leaves(&[1.0, -2.5, 3.0], 3);
+        assert_eq!(check_finite(&finite, 4), Ok(()));
+        for leaves in [
+            [1.0, f64::NAN, 2.0],
+            [1.0, f64::INFINITY, 2.0],
+            [f64::NEG_INFINITY, 1.0, 2.0],
+            // Finite leaves whose running sum overflows, then stays +inf.
+            [f64::MAX, f64::MAX, -f64::MAX],
+        ] {
+            let snapshot = ConsistentSnapshot::from_leaves(&leaves, 3);
+            assert_eq!(check_finite(&snapshot, 4), refused, "{leaves:?}");
+        }
+        // Padding past the served domain is never answered from.
+        let padded = ConsistentSnapshot::from_leaves(&[1.0, 2.0, f64::NAN], 2);
+        assert_eq!(check_finite(&padded, 4), Ok(()));
+    }
+
+    #[test]
+    fn non_finite_release_is_refused_but_keeps_its_debit_and_index() {
+        let mut service = HistogramService::new();
+        // ε so small that the Laplace scale (height 4 / ε ≈ 1.3e308) sits
+        // next to f64::MAX: draws and their sums overflow to ±inf and NaN.
+        let tiny = 3e-308;
+        let id = service
+            .register(
+                TenantConfig::new("t", 8)
+                    .with_budget(4.0 * tiny, tiny)
+                    .with_refresh_every(2)
+                    .with_seed(5),
+            )
+            .unwrap();
+        assert_eq!(
+            service.publish(id).unwrap_err(),
+            ServeError::NonFiniteRelease { release_index: 0 }
+        );
+        // Nothing published: readers still see the epoch-0 zeros.
+        assert_eq!(service.epoch(id).unwrap(), 0);
+        assert_eq!(service.answer(id, RangeQuery::new(0, 8)).unwrap(), 0.0);
+        assert_eq!(service.ledger(id).unwrap().len(), 1);
+        // The retry uses the next release index, never the same noise.
+        assert_eq!(
+            service.publish(id).unwrap_err(),
+            ServeError::NonFiniteRelease { release_index: 1 }
+        );
+        // A cadence release refused this way does not fail the ingest: the
+        // deltas landed and stay pending.
+        assert_eq!(service.ingest(id, &[(0, 1), (1, 1)]).unwrap(), None);
+        assert_eq!(service.ledger(id).unwrap().len(), 3);
+        assert_eq!(service.epoch(id).unwrap(), 0);
+        assert_eq!(
+            service.ingest(id, &[(2, 1)]).unwrap(),
+            None,
+            "still pending, so the cadence fires again"
+        );
+        assert_eq!(service.ledger(id).unwrap().len(), 4);
+        assert!(matches!(
+            service.publish(id).unwrap_err(),
+            ServeError::Budget(BudgetError::Exhausted { .. })
+        ));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   exact, so O(1) serving and the decomposition walk cannot disagree;
 //! * `SubtreeServer::answer` ≡ materializing
 //!   `TreeShape::subtree_decomposition` and folding, bit for bit, for any
-//!   values and rounding policy (the materialized decomposition stays as
+//!   values and rounding policy, and its walk emits exactly the
+//!   decomposition's nodes and depths (the materialized decomposition is
 //!   the oracle);
 //! * batched and sharded-pool snapshot serving ≡ one-at-a-time answers;
 //! * fixed-seed golden pins for a served query batch **per noise backend**
@@ -172,20 +173,125 @@ proptest! {
         seed in any::<u64>(),
         rounded in any::<bool>(),
     ) {
-        // The two-fringe iterative walk must visit the same decomposition
-        // nodes in the same left-to-right order as the recursive fold, so
-        // the -0.0-seeded accumulation agrees bit for bit.
+        // The bottom-up walk must add the decomposition nodes in the order
+        // `TreeShape::subtree_decomposition`'s recursive descent emits them,
+        // so the -0.0-seeded fold agrees bit for bit, one query at a time
+        // and batched (67 queries: the batch's last chunk is partial).
         let shape = TreeShape::new(k, height);
         let values = random_values(shape.nodes(), seed);
         let server = SubtreeServer::new(&shape);
         let rounding = if rounded { Rounding::NonNegativeInteger } else { Rounding::None };
-        for q in random_queries(shape.leaves(), 64, seed ^ 0x17E2) {
-            prop_assert_eq!(
-                server.answer(&values, rounding, q).to_bits(),
-                server.answer_recursive(&values, rounding, q).to_bits(),
-                "k = {}, height = {}, q = {}", k, height, q
+        let queries = random_queries(shape.leaves(), 67, seed ^ 0x17E2);
+        let mut batched = Vec::new();
+        server.answer_into(&values, rounding, &queries, &mut batched);
+        for (&q, &got) in queries.iter().zip(&batched) {
+            let oracle: f64 = shape
+                .subtree_decomposition(q)
+                .into_iter()
+                .map(|v| rounding.apply(values[v]))
+                .sum();
+            prop_assert_eq!(got.to_bits(), oracle.to_bits(), "k = {}, height = {}, q = {}", k, height, q);
+            prop_assert_eq!(server.answer(&values, rounding, q).to_bits(), oracle.to_bits());
+        }
+    }
+
+    #[test]
+    fn walk_emits_the_materialized_decomposition_with_depths(
+        k in 2usize..=16,
+        height in 1usize..=8,
+        seed in any::<u64>(),
+    ) {
+        let shape = TreeShape::new(k, height);
+        let server = SubtreeServer::new(&shape);
+        for q in random_queries(shape.leaves(), 32, seed ^ 0x3A1C) {
+            assert_walk_matches_oracle(&server, q);
+        }
+    }
+}
+
+/// Checks the walk's `(node, depth)` emission and its counts for `q`
+/// against the materialized recursive decomposition.
+fn assert_walk_matches_oracle(server: &SubtreeServer, q: Interval) {
+    let shape = server.shape();
+    let expected: Vec<(usize, usize)> = shape
+        .subtree_decomposition(q)
+        .into_iter()
+        .map(|v| (v, shape.depth(v)))
+        .collect();
+    let mut emitted = Vec::new();
+    server.for_each_node_at_depth(q, |v, d| emitted.push((v, d)));
+    assert_eq!(
+        emitted,
+        expected,
+        "k = {}, height = {}, q = {q}",
+        shape.branching(),
+        shape.height()
+    );
+    let mut nodes = Vec::new();
+    server.for_each_node(q, |v| nodes.push(v));
+    assert!(nodes.iter().copied().eq(expected.iter().map(|&(v, _)| v)));
+    assert_eq!(server.decomposition_len(q), expected.len());
+}
+
+#[test]
+fn walk_edge_cases_match_the_materialized_decomposition() {
+    // Height 1: the root is the only leaf, for any branching factor.
+    for k in [2usize, 3, 7, 16] {
+        let server = SubtreeServer::new(&TreeShape::new(k, 1));
+        assert_walk_matches_oracle(&server, Interval::new(0, 0));
+    }
+    for (k, height) in [(2usize, 6), (3, 4), (4, 4), (5, 3), (7, 3), (16, 3)] {
+        let server = SubtreeServer::new(&TreeShape::new(k, height));
+        let n = server.shape().leaves();
+        // Every single-leaf range, every range ending at the right edge and
+        // every range starting at the left edge (the full range among them).
+        for i in 0..n {
+            assert_walk_matches_oracle(&server, Interval::new(i, i));
+            assert_walk_matches_oracle(&server, Interval::new(i, n - 1));
+            assert_walk_matches_oracle(&server, Interval::new(0, i));
+        }
+        assert_eq!(server.decomposition_len(Interval::new(0, n - 1)), 1);
+    }
+    // `for_domain`-padded shapes, queried over the real domain.
+    for (domain, k) in [(1000usize, 2usize), (1000, 3), (300, 7), (17, 16)] {
+        let server = SubtreeServer::new(&TreeShape::for_domain(domain, k));
+        for q in random_queries(domain, 200, domain as u64 ^ k as u64) {
+            assert_walk_matches_oracle(&server, q);
+        }
+        assert_walk_matches_oracle(&server, Interval::new(0, domain - 1));
+    }
+    // Tall shapes: leaf positions far past 2^32 (k = 3 at height 41 has
+    // 3^40 ≈ 1.2·10^19 leaves, near the top of usize).
+    for (k, height) in [(2usize, 40usize), (2, 64), (3, 25), (3, 41), (5, 20)] {
+        let shape = TreeShape::new(k, height);
+        let server = SubtreeServer::new(&shape);
+        let n = shape.leaves();
+        let mut queries = random_queries(n, 50, height as u64);
+        queries.extend([
+            Interval::new(0, n - 1),
+            Interval::new(n - 1, n - 1),
+            Interval::new(1, n - 2),
+            Interval::new(n / 3, n - 1),
+        ]);
+        for q in queries {
+            assert_eq!(
+                server.decomposition_len(q),
+                shape.subtree_decomposition(q).len(),
+                "k = {k}, height = {height}, q = {q}"
             );
         }
+    }
+    // Two-level trees with huge branching factors: every range but the full
+    // one is its own leaves, right up to the last leaf.
+    for k in [(1usize << 33) + 1, (1usize << 63) + 1] {
+        let server = SubtreeServer::new(&TreeShape::new(k, 2));
+        assert_eq!(server.decomposition_len(Interval::new(0, k - 1)), 1);
+        assert_eq!(server.decomposition_len(Interval::new(k - 1, k - 1)), 1);
+        assert_eq!(server.decomposition_len(Interval::new(k - 5, k - 1)), 5);
+        assert_eq!(server.decomposition_len(Interval::new(0, 2)), 3);
+        let mut last = Vec::new();
+        server.for_each_node_at_depth(Interval::new(k - 2, k - 1), |v, d| last.push((v, d)));
+        assert_eq!(last, [(k - 1, 1), (k, 1)]);
     }
 }
 
